@@ -8,8 +8,22 @@
 //! dependency finishes, waits in its resource's queue, runs when the
 //! resource frees up, and releases its dependents on completion.
 //!
-//! Scheduling is deterministic: ties are broken by ready time, then by
-//! insertion order.
+//! Scheduling is deterministic: events are ordered by `(time, kind, task
+//! index)` with finishes before readies at equal times, queued tasks by
+//! ready time then insertion order, and a finishing task releases its
+//! dependents in ascending index order.
+//!
+//! Building and running a graph does no per-task heap allocation.  A task
+//! owns no `Vec`: [`Engine::add_task`] drains the spec's dependency
+//! iterator into one flat edge list, dropping a dependency listed twice by
+//! stamping the dependency with the id of the task that listed it last.
+//! [`Engine::run`] turns the edge list into a CSR (compressed sparse row)
+//! dependents array — one flat `Vec` of dependents plus per-task offsets —
+//! and the [`Schedule`] takes the resource names and task labels by move.
+//! Labels are optional and only needed for [`Schedule::chrome_trace`], so
+//! a caller that does not trace builds none.  Each heap entry packs its
+//! `(time, kind, task index)` into one `u128`, so an event comparison is
+//! one integer comparison.
 //!
 //! # Examples
 //!
@@ -28,6 +42,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::iter::{Chain, Empty, Once};
 
 use hypar_tensor::Seconds;
 
@@ -40,11 +55,14 @@ pub struct TaskId(usize);
 pub struct ResourceId(usize);
 
 /// Specification of one task: its resource, duration, and dependencies.
+///
+/// The dependencies are an iterator that [`Engine::add_task`] drains
+/// straight into the engine's edge list, so a spec allocates nothing.
 #[derive(Clone, Debug)]
-pub struct TaskSpec {
+pub struct TaskSpec<D = Empty<TaskId>> {
     resource: ResourceId,
     duration: Seconds,
-    deps: Vec<TaskId>,
+    deps: D,
     label: Option<String>,
 }
 
@@ -56,11 +74,13 @@ impl TaskSpec {
         Self {
             resource,
             duration,
-            deps: Vec::new(),
+            deps: std::iter::empty(),
             label: None,
         }
     }
+}
 
+impl<D: Iterator<Item = TaskId>> TaskSpec<D> {
     /// Names the task for trace export ([`Schedule::chrome_trace`]).
     #[must_use]
     pub fn label(mut self, label: impl Into<String>) -> Self {
@@ -70,55 +90,92 @@ impl TaskSpec {
 
     /// Adds a dependency: this task cannot start before `dep` finishes.
     #[must_use]
-    pub fn after(mut self, dep: TaskId) -> Self {
-        self.deps.push(dep);
-        self
+    pub fn after(self, dep: TaskId) -> TaskSpec<Chain<D, Once<TaskId>>> {
+        self.after_all(std::iter::once(dep))
     }
 
     /// Adds several dependencies at once.
     #[must_use]
-    pub fn after_all(mut self, deps: impl IntoIterator<Item = TaskId>) -> Self {
-        self.deps.extend(deps);
-        self
+    pub fn after_all<I: IntoIterator<Item = TaskId>>(
+        self,
+        deps: I,
+    ) -> TaskSpec<Chain<D, I::IntoIter>> {
+        TaskSpec {
+            resource: self.resource,
+            duration: self.duration,
+            deps: self.deps.chain(deps),
+            label: self.label,
+        }
     }
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Task {
-    resource: ResourceId,
+    resource: usize,
     duration: f64,
+    /// Dependencies that have not finished yet.
     pending_deps: usize,
-    dependents: Vec<usize>,
-    label: Option<String>,
+    /// The last task that listed this one as a dependency, so a repeated
+    /// listing is dropped without sorting.
+    listed_by: usize,
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Resource {
-    #[allow(dead_code)]
     name: String,
-    busy_until: f64,
     busy_total: f64,
-    /// Ready tasks waiting for this resource: (ready time, task index).
-    queue: BinaryHeap<Reverse<(OrderedTime, usize)>>,
+}
+
+/// A heap key that orders exactly like the tuple `(time, kind, task
+/// index)`.
+///
+/// Event times are finite and non-negative: durations are, the clock
+/// starts at `+0.0`, and adding a duration (even `-0.0`) to a non-negative
+/// time never gives `-0.0`.  The IEEE-754 bits of such an `f64` order like its
+/// value, so with the time's bits in the high word, the kind in bit 63 and
+/// the task index (always below 2^63) under it, one `u128` comparison
+/// replaces a float comparison and two tie breaks.
+#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Key(u128);
+
+/// Event kinds, in their tie-break order at equal times: finishes before
+/// readies, so freed resources pick up work deterministically.
+const FINISH: u8 = 0;
+const READY: u8 = 1;
+
+impl Key {
+    const KIND_BIT: u32 = 63;
+
+    fn new(time: f64, kind: u8, task: usize) -> Self {
+        Self(
+            (u128::from(time.to_bits()) << 64)
+                | (u128::from(kind) << Self::KIND_BIT)
+                | task as u128,
+        )
+    }
+
+    fn time(self) -> f64 {
+        f64::from_bits((self.0 >> 64) as u64)
+    }
+
+    fn kind(self) -> u8 {
+        (self.0 >> Self::KIND_BIT) as u8 & 1
+    }
+
+    fn task(self) -> usize {
+        (self.0 as u64 & !(1 << Self::KIND_BIT)) as usize
+    }
+}
+
+type Events = BinaryHeap<Reverse<Key>>;
+
+/// One resource's run state during [`Engine::run`].
+#[derive(Clone, Debug, Default)]
+struct Lane {
     running: bool,
-}
-
-/// Total order for event times; task durations are finite by construction.
-#[derive(Copy, Clone, Debug, PartialEq)]
-struct OrderedTime(f64);
-
-impl Eq for OrderedTime {}
-
-impl PartialOrd for OrderedTime {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for OrderedTime {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
+    /// Ready tasks waiting for this resource, keyed by (ready time, task
+    /// index).
+    queue: BinaryHeap<Reverse<Key>>,
 }
 
 /// The deterministic discrete-event engine.
@@ -128,6 +185,11 @@ impl Ord for OrderedTime {
 #[derive(Debug)]
 pub struct Engine {
     tasks: Vec<Task>,
+    /// Every distinct dependency as `(dependency, dependent)`, in the
+    /// order the dependents were added.
+    edges: Vec<(usize, usize)>,
+    /// `(task index, label)` of every labeled task, in index order.
+    labels: Vec<(usize, String)>,
     resources: Vec<Resource>,
 }
 
@@ -137,6 +199,8 @@ impl Engine {
     pub fn new() -> Self {
         Self {
             tasks: Vec::new(),
+            edges: Vec::new(),
+            labels: Vec::new(),
             resources: Vec::new(),
         }
     }
@@ -145,10 +209,7 @@ impl Engine {
     pub fn add_resource(&mut self, name: impl Into<String>) -> ResourceId {
         self.resources.push(Resource {
             name: name.into(),
-            busy_until: 0.0,
             busy_total: 0.0,
-            queue: BinaryHeap::new(),
-            running: false,
         });
         ResourceId(self.resources.len() - 1)
     }
@@ -159,7 +220,7 @@ impl Engine {
     ///
     /// Panics if the spec references an unknown resource or task, or if the
     /// duration is negative or non-finite.
-    pub fn add_task(&mut self, spec: TaskSpec) -> TaskId {
+    pub fn add_task<D: Iterator<Item = TaskId>>(&mut self, spec: TaskSpec<D>) -> TaskId {
         assert!(spec.resource.0 < self.resources.len(), "unknown resource");
         assert!(
             spec.duration.value() >= 0.0 && spec.duration.value().is_finite(),
@@ -167,24 +228,25 @@ impl Engine {
         );
         let id = self.tasks.len();
         let mut pending = 0;
-        for dep in &spec.deps {
+        for dep in spec.deps {
             assert!(dep.0 < id, "dependencies must be previously added tasks");
-        }
-        // Dedup so a task listed twice as a dependency is counted once.
-        let mut deps = spec.deps.clone();
-        deps.sort_unstable();
-        deps.dedup();
-        for dep in &deps {
-            self.tasks[dep.0].dependents.push(id);
-            pending += 1;
+            // A task listed twice as a dependency is counted once.
+            let task = &mut self.tasks[dep.0];
+            if task.listed_by != id {
+                task.listed_by = id;
+                self.edges.push((dep.0, id));
+                pending += 1;
+            }
         }
         self.tasks.push(Task {
-            resource: spec.resource,
+            resource: spec.resource.0,
             duration: spec.duration.value(),
             pending_deps: pending,
-            dependents: Vec::new(),
-            label: spec.label,
+            listed_by: usize::MAX,
         });
+        if let Some(label) = spec.label {
+            self.labels.push((id, label));
+        }
         TaskId(id)
     }
 
@@ -209,108 +271,98 @@ impl Engine {
     #[must_use]
     pub fn run(mut self) -> Schedule {
         let n = self.tasks.len();
-        let mut finish = vec![0.0f64; n];
+        let (offsets, dependents) = self.dependents();
         let mut start = vec![0.0f64; n];
-        let mut done = vec![false; n];
-        // Event heap ordered by (time, kind-priority, task index): finishes
-        // before readies at equal times so freed resources pick up work
-        // deterministically.
-        let mut events: BinaryHeap<Reverse<(OrderedTime, u8, usize)>> = BinaryHeap::new();
+        let mut finish = vec![0.0f64; n];
+        let mut lanes = vec![Lane::default(); self.resources.len()];
+        let mut events = Events::new();
 
         for (i, task) in self.tasks.iter().enumerate() {
             if task.pending_deps == 0 {
-                events.push(Reverse((OrderedTime(0.0), 1, i)));
+                events.push(Reverse(Key::new(0.0, READY, i)));
             }
         }
 
         let mut completed = 0usize;
-        while let Some(Reverse((OrderedTime(now), kind, idx))) = events.pop() {
-            match kind {
-                0 => {
-                    // Finish.
-                    debug_assert!(!done[idx]);
-                    done[idx] = true;
-                    completed += 1;
-                    let resource = self.tasks[idx].resource.0;
-                    self.resources[resource].running = false;
-                    // Release dependents.
-                    let dependents = std::mem::take(&mut self.tasks[idx].dependents);
-                    for d in dependents {
-                        self.tasks[d].pending_deps -= 1;
-                        if self.tasks[d].pending_deps == 0 {
-                            events.push(Reverse((OrderedTime(now), 1, d)));
-                        }
-                    }
-                    // Start the next queued task, if any.
-                    if let Some(Reverse((ready, next))) = self.resources[resource].queue.pop() {
-                        debug_assert!(ready.0 <= now);
-                        start_task(
-                            &mut self.resources[resource],
-                            next,
-                            now,
-                            &self.tasks,
-                            &mut start,
-                            &mut finish,
-                            &mut events,
-                        );
+        while let Some(Reverse(event)) = events.pop() {
+            let (now, idx) = (event.time(), event.task());
+            let resource = self.tasks[idx].resource;
+            if event.kind() == FINISH {
+                completed += 1;
+                lanes[resource].running = false;
+                for &d in &dependents[offsets[idx]..offsets[idx + 1]] {
+                    self.tasks[d].pending_deps -= 1;
+                    if self.tasks[d].pending_deps == 0 {
+                        events.push(Reverse(Key::new(now, READY, d)));
                     }
                 }
-                _ => {
-                    // Ready: enqueue on the resource; start immediately if idle.
-                    let resource = self.tasks[idx].resource.0;
-                    if self.resources[resource].running {
-                        self.resources[resource]
-                            .queue
-                            .push(Reverse((OrderedTime(now), idx)));
-                    } else {
-                        start_task(
-                            &mut self.resources[resource],
-                            idx,
-                            now,
-                            &self.tasks,
-                            &mut start,
-                            &mut finish,
-                            &mut events,
-                        );
-                    }
+                // Start the next queued task, if any.
+                if let Some(Reverse(queued)) = lanes[resource].queue.pop() {
+                    debug_assert!(queued.time() <= now);
+                    let next = queued.task();
+                    self.start_task(next, now, &mut lanes, &mut start, &mut finish, &mut events);
                 }
+            } else if lanes[resource].running {
+                lanes[resource]
+                    .queue
+                    .push(Reverse(Key::new(now, READY, idx)));
+            } else {
+                self.start_task(idx, now, &mut lanes, &mut start, &mut finish, &mut events);
             }
         }
 
         assert_eq!(completed, n, "dependency graph did not complete (cycle?)");
         let makespan = finish.iter().copied().fold(0.0, f64::max);
         Schedule {
-            start: start.into_iter().map(Seconds).collect(),
-            finish: finish.into_iter().map(Seconds).collect(),
-            makespan: Seconds(makespan),
-            resource_busy: self
-                .resources
-                .iter()
-                .map(|r| Seconds(r.busy_total))
-                .collect(),
-            resource_names: self.resources.iter().map(|r| r.name.clone()).collect(),
-            task_resources: self.tasks.iter().map(|t| t.resource).collect(),
-            task_labels: self.tasks.iter().map(|t| t.label.clone()).collect(),
+            start,
+            finish,
+            makespan,
+            resources: self.resources,
+            tasks: self.tasks,
+            labels: self.labels,
         }
     }
-}
 
-fn start_task(
-    resource: &mut Resource,
-    idx: usize,
-    now: f64,
-    tasks: &[Task],
-    start: &mut [f64],
-    finish: &mut [f64],
-    events: &mut BinaryHeap<Reverse<(OrderedTime, u8, usize)>>,
-) {
-    resource.running = true;
-    let dur = tasks[idx].duration;
-    start[idx] = now;
-    finish[idx] = now + dur;
-    resource.busy_until = now + dur;
-    resource.busy_total += dur;
-    events.push(Reverse((OrderedTime(now + dur), 0, idx)));
+    /// The CSR form of the edge list: task `i`'s dependents are
+    /// `dependents[offsets[i]..offsets[i + 1]]`, in ascending index order.
+    fn dependents(&self) -> (Vec<usize>, Vec<usize>) {
+        let n = self.tasks.len();
+        let mut offsets = vec![0usize; n + 1];
+        for &(dep, _) in &self.edges {
+            offsets[dep] += 1;
+        }
+        // Running sums put each bucket's end in `offsets[i]`; filling the
+        // buckets back to front from the reversed edge list then leaves
+        // its start there, with the dependents in insertion order.
+        let mut end = 0;
+        for offset in &mut offsets {
+            end += *offset;
+            *offset = end;
+        }
+        let mut dependents = vec![0usize; self.edges.len()];
+        for &(dep, task) in self.edges.iter().rev() {
+            offsets[dep] -= 1;
+            dependents[offsets[dep]] = task;
+        }
+        (offsets, dependents)
+    }
+
+    fn start_task(
+        &mut self,
+        idx: usize,
+        now: f64,
+        lanes: &mut [Lane],
+        start: &mut [f64],
+        finish: &mut [f64],
+        events: &mut Events,
+    ) {
+        let task = &self.tasks[idx];
+        lanes[task.resource].running = true;
+        start[idx] = now;
+        finish[idx] = now + task.duration;
+        self.resources[task.resource].busy_total += task.duration;
+        events.push(Reverse(Key::new(now + task.duration, FINISH, idx)));
+    }
 }
 
 impl Default for Engine {
@@ -322,38 +374,37 @@ impl Default for Engine {
 /// The result of executing a task graph.
 #[derive(Clone, Debug)]
 pub struct Schedule {
-    start: Vec<Seconds>,
-    finish: Vec<Seconds>,
-    makespan: Seconds,
-    resource_busy: Vec<Seconds>,
-    resource_names: Vec<String>,
-    task_resources: Vec<ResourceId>,
-    task_labels: Vec<Option<String>>,
+    start: Vec<f64>,
+    finish: Vec<f64>,
+    makespan: f64,
+    resources: Vec<Resource>,
+    tasks: Vec<Task>,
+    labels: Vec<(usize, String)>,
 }
 
 impl Schedule {
     /// When the given task started.
     #[must_use]
     pub fn start_time(&self, task: TaskId) -> Seconds {
-        self.start[task.0]
+        Seconds(self.start[task.0])
     }
 
     /// When the given task finished.
     #[must_use]
     pub fn finish_time(&self, task: TaskId) -> Seconds {
-        self.finish[task.0]
+        Seconds(self.finish[task.0])
     }
 
     /// Completion time of the whole graph.
     #[must_use]
     pub fn makespan(&self) -> Seconds {
-        self.makespan
+        Seconds(self.makespan)
     }
 
     /// Total busy time of a resource (its utilization numerator).
     #[must_use]
     pub fn busy_time(&self, resource: ResourceId) -> Seconds {
-        self.resource_busy[resource.0]
+        Seconds(self.resources[resource.0].busy_total)
     }
 
     /// Exports the schedule as a Chrome trace (the JSON consumed by
@@ -378,20 +429,20 @@ impl Schedule {
     pub fn chrome_trace(&self) -> String {
         let mut out = String::from("[\n");
         let mut first = true;
-        for (tid, name) in self.resource_names.iter().enumerate() {
+        for (tid, resource) in self.resources.iter().enumerate() {
             if !first {
                 out.push_str(",\n");
             }
             first = false;
             out.push_str(&format!(
                 "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\
-                 \"args\":{{\"name\":\"{name}\"}}}}"
+                 \"args\":{{\"name\":\"{}\"}}}}",
+                resource.name
             ));
         }
-        for (i, label) in self.task_labels.iter().enumerate() {
-            let Some(label) = label else { continue };
-            let start_us = self.start[i].value() * 1e6;
-            let dur_us = (self.finish[i].value() - self.start[i].value()) * 1e6;
+        for &(i, ref label) in &self.labels {
+            let start_us = self.start[i] * 1e6;
+            let dur_us = (self.finish[i] - self.start[i]) * 1e6;
             if !first {
                 out.push_str(",\n");
             }
@@ -399,7 +450,7 @@ impl Schedule {
             out.push_str(&format!(
                 "{{\"name\":\"{label}\",\"ph\":\"X\",\"ts\":{start_us:.3},\
                  \"dur\":{dur_us:.3},\"pid\":0,\"tid\":{}}}",
-                self.task_resources[i].0
+                self.tasks[i].resource
             ));
         }
         out.push_str("\n]\n");
@@ -559,6 +610,23 @@ mod tests {
             (engine, ids)
         }
 
+        /// The graph of [`build`], with every dependency `j` listed
+        /// `1 + repeats[j] % 3` times, last dependency first.
+        fn build_repeated(graph: &[(usize, f64, u64)], repeats: &[u8]) -> Engine {
+            let mut engine = Engine::new();
+            let resources: Vec<_> = (0..4)
+                .map(|i| engine.add_resource(format!("r{i}")))
+                .collect();
+            for (i, &(res, dur, mask)) in graph.iter().enumerate() {
+                let deps = (0..i.min(64))
+                    .rev()
+                    .filter(|&j| mask >> j & 1 == 1)
+                    .flat_map(|j| std::iter::repeat_n(TaskId(j), 1 + usize::from(repeats[j] % 3)));
+                engine.add_task(TaskSpec::new(resources[res], Seconds(dur)).after_all(deps));
+            }
+            engine
+        }
+
         proptest! {
             /// Every task finishes, after all of its dependencies.
             #[test]
@@ -605,6 +673,34 @@ mod tests {
                 for &id in &ids {
                     prop_assert_eq!(s1.start_time(id), s2.start_time(id));
                     prop_assert_eq!(s1.finish_time(id), s2.finish_time(id));
+                }
+            }
+
+            /// Listing a dependency several times, in any order, schedules
+            /// bit-identically to listing it once.
+            #[test]
+            fn repeated_dependencies_schedule_identically(
+                graph in arb_graph(),
+                repeats in proptest::collection::vec(any::<u8>(), 64..65),
+            ) {
+                let (once, ids) = build(&graph);
+                let once = once.run();
+                let repeated = build_repeated(&graph, &repeats).run();
+                for &id in &ids {
+                    prop_assert_eq!(
+                        once.start_time(id).value().to_bits(),
+                        repeated.start_time(id).value().to_bits()
+                    );
+                    prop_assert_eq!(
+                        once.finish_time(id).value().to_bits(),
+                        repeated.finish_time(id).value().to_bits()
+                    );
+                }
+                for r in 0..4 {
+                    prop_assert_eq!(
+                        once.busy_time(ResourceId(r)).value().to_bits(),
+                        repeated.busy_time(ResourceId(r)).value().to_bits()
+                    );
                 }
             }
         }

@@ -38,6 +38,9 @@
 //! all-reduce hide underneath the remaining backward pass — and, on a
 //! branchy DAG, letting independent branches genuinely overlap.
 
+use std::borrow::Cow;
+use std::fmt::Arguments;
+
 use hypar_comm::{
     inter_split, intra_elems, junction_scale_between, LayerScale, NetworkCommTensors, Parallelism,
     ScaleState,
@@ -81,7 +84,7 @@ pub fn simulate_step(
     plan: &HierarchicalPlan,
     cfg: &ArchConfig,
 ) -> Result<StepReport, SimError> {
-    Ok(chain_builder(shapes, plan, cfg, false)?.run().0)
+    simulate_chain(shapes, plan, cfg, false).map(|(report, _)| report)
 }
 
 /// Like [`simulate_step`], additionally returning the executed schedule as
@@ -96,8 +99,8 @@ pub fn simulate_step_traced(
     plan: &HierarchicalPlan,
     cfg: &ArchConfig,
 ) -> Result<(StepReport, String), SimError> {
-    let (report, trace) = chain_builder(shapes, plan, cfg, true)?.run();
-    Ok((report, trace.unwrap_or_default()))
+    simulate_chain(shapes, plan, cfg, true)
+        .map(|(report, trace)| (report, trace.unwrap_or_default()))
 }
 
 /// Simulates one training step of a whole branchy DAG: the segment
@@ -136,7 +139,7 @@ pub fn simulate_graph_step(
     plan: &HierarchicalPlan,
     cfg: &ArchConfig,
 ) -> Result<StepReport, SimError> {
-    Ok(graph_builder(graph, plan, cfg, false)?.run().0)
+    simulate_graph(graph, plan, cfg, false).map(|(report, _)| report)
 }
 
 /// Like [`simulate_graph_step`], additionally returning the executed
@@ -150,8 +153,8 @@ pub fn simulate_graph_step_traced(
     plan: &HierarchicalPlan,
     cfg: &ArchConfig,
 ) -> Result<(StepReport, String), SimError> {
-    let (report, trace) = graph_builder(graph, plan, cfg, true)?.run();
-    Ok((report, trace.unwrap_or_default()))
+    simulate_graph(graph, plan, cfg, true)
+        .map(|(report, trace)| (report, trace.unwrap_or_default()))
 }
 
 /// Simulates one training step on a **single** accelerator (an empty
@@ -175,41 +178,32 @@ pub fn simulate_single_accelerator(
     simulate_step(shapes, &plan, cfg)
 }
 
-/// Validates and assembles the single-segment (chain) builder.
-fn chain_builder<'a>(
-    shapes: &'a NetworkShapes,
+/// Validates the plan and simulates the single-segment (chain) step.
+fn simulate_chain(
+    shapes: &NetworkShapes,
     plan: &HierarchicalPlan,
-    cfg: &'a ArchConfig,
+    cfg: &ArchConfig,
     trace: bool,
-) -> Result<Builder<'a>, SimError> {
+) -> Result<(StepReport, Option<String>), SimError> {
     if plan.num_layers() != shapes.len() {
         return Err(SimError::LayerCountMismatch {
             plan_layers: plan.num_layers(),
             network_layers: shapes.len(),
         });
     }
-    let seg = Seg::new(
-        shapes,
-        NetworkCommTensors::from_shapes(shapes),
-        plan.clone(),
-    );
-    Ok(Builder::new(
-        vec![seg],
-        Vec::new(),
-        plan.num_levels(),
-        cfg,
-        trace,
-    ))
+    let net = NetworkCommTensors::from_shapes(shapes);
+    let seg = Seg::new(shapes, &net, Cow::Borrowed(plan));
+    Ok(Builder::new(vec![seg], &[], plan.num_levels(), cfg, trace).run())
 }
 
 /// Validates the stitched plan against the graph, splits it back into
-/// per-segment sub-plans, and assembles the multi-segment builder.
-fn graph_builder<'a>(
-    graph: &'a SegmentCommGraph,
+/// per-segment sub-plans, and simulates the multi-segment step.
+fn simulate_graph(
+    graph: &SegmentCommGraph,
     plan: &HierarchicalPlan,
-    cfg: &'a ArchConfig,
+    cfg: &ArchConfig,
     trace: bool,
-) -> Result<Builder<'a>, SimError> {
+) -> Result<(StepReport, Option<String>), SimError> {
     if plan.num_layers() != graph.num_layers() {
         return Err(SimError::LayerCountMismatch {
             plan_layers: plan.num_layers(),
@@ -229,31 +223,29 @@ fn graph_builder<'a>(
         // The sub-plan total is never read — the simulator re-derives all
         // traffic from the per-level choices.
         let sub = HierarchicalPlan::from_parts(tensors.name(), names, levels, 0.0);
-        segs.push(Seg::new(graph.segment_shapes(s), tensors.clone(), sub));
+        segs.push(Seg::new(graph.segment_shapes(s), tensors, Cow::Owned(sub)));
         offset += len;
     }
-    Ok(Builder::new(
-        segs,
-        graph.edges().to_vec(),
-        plan.num_levels(),
-        cfg,
-        trace,
-    ))
+    Ok(Builder::new(segs, graph.edges(), plan.num_levels(), cfg, trace).run())
 }
 
 /// One chain segment's planning context inside a step simulation.  A chain
 /// network is exactly one `Seg`; a DAG is one per decomposed segment.
 struct Seg<'a> {
     shapes: &'a NetworkShapes,
-    net: NetworkCommTensors,
-    plan: HierarchicalPlan,
+    net: &'a NetworkCommTensors,
+    plan: Cow<'a, HierarchicalPlan>,
     /// Scale state *above* each level (index `h`), plus the leaf state at
     /// index `H`.
     scales_at: Vec<ScaleState>,
 }
 
 impl<'a> Seg<'a> {
-    fn new(shapes: &'a NetworkShapes, net: NetworkCommTensors, plan: HierarchicalPlan) -> Self {
+    fn new(
+        shapes: &'a NetworkShapes,
+        net: &'a NetworkCommTensors,
+        plan: Cow<'a, HierarchicalPlan>,
+    ) -> Self {
         let mut scales_at = Vec::with_capacity(plan.num_levels() + 1);
         let mut s = ScaleState::identity(net.len());
         scales_at.push(s.clone());
@@ -282,7 +274,7 @@ impl<'a> Seg<'a> {
 /// segments joined by junction edges.
 struct Builder<'a> {
     segs: Vec<Seg<'a>>,
-    edges: Vec<SegmentEdge>,
+    edges: &'a [SegmentEdge],
     num_levels: usize,
     cfg: &'a ArchConfig,
     engine: Engine,
@@ -290,7 +282,8 @@ struct Builder<'a> {
     /// `links[h][p]`: the pair-`p` channel at hierarchy level `h`.
     links: Vec<Vec<ResourceId>>,
     barrier_res: ResourceId,
-    /// Whether to label tasks for trace export.
+    /// Whether to label tasks for trace export; untraced steps format no
+    /// label.
     trace: bool,
     // Accounting.
     compute_energy: Joules,
@@ -303,7 +296,7 @@ struct Builder<'a> {
 impl<'a> Builder<'a> {
     fn new(
         segs: Vec<Seg<'a>>,
-        edges: Vec<SegmentEdge>,
+        edges: &'a [SegmentEdge],
         num_levels: usize,
         cfg: &'a ArchConfig,
         trace: bool,
@@ -385,7 +378,7 @@ impl<'a> Builder<'a> {
         elementwise_total: f64,
         dram_bytes_per_accel: f64,
         mapping: Option<Mapping>,
-        label: &str,
+        label: Arguments<'_>,
         deps: &[TaskId],
     ) -> Vec<TaskId> {
         let n = self.num_accels() as f64;
@@ -412,12 +405,13 @@ impl<'a> Builder<'a> {
         self.dram_energy += self.cfg.energy.dram(dram_bytes_per_accel) * n;
         self.dram_bytes += dram_bytes_per_accel * n;
 
+        let label = self.trace.then(|| label.to_string());
         (0..self.num_accels())
             .map(|i| {
                 let mut spec =
                     TaskSpec::new(self.accels[i], duration).after_all(deps.iter().copied());
-                if self.trace {
-                    spec = spec.label(label);
+                if let Some(label) = &label {
+                    spec = spec.label(label.as_str());
                 }
                 self.engine.add_task(spec)
             })
@@ -426,7 +420,13 @@ impl<'a> Builder<'a> {
 
     /// One transfer of `elems` tensor elements (both directions combined)
     /// on every pair-channel of level `h`.
-    fn comm_stage(&mut self, h: usize, elems: f64, label: &str, deps: &[TaskId]) -> Vec<TaskId> {
+    fn comm_stage(
+        &mut self,
+        h: usize,
+        elems: f64,
+        label: Arguments<'_>,
+        deps: &[TaskId],
+    ) -> Vec<TaskId> {
         let bytes_pair = elems * f64::from(self.cfg.precision_bytes);
         let bw =
             self.cfg
@@ -438,24 +438,16 @@ impl<'a> Builder<'a> {
         self.comm_bytes_per_level[h] += bytes_pair * pairs as f64;
         self.link_energy += self.cfg.energy.link(bytes_pair) * pairs as f64;
 
+        let label = self.trace.then(|| label.to_string());
         (0..pairs)
             .map(|p| {
                 let mut spec =
                     TaskSpec::new(self.links[h][p], duration).after_all(deps.iter().copied());
-                if self.trace {
-                    spec = spec.label(label);
+                if let Some(label) = &label {
+                    spec = spec.label(label.as_str());
                 }
                 self.engine.add_task(spec)
             })
-            .collect()
-    }
-
-    /// Levels at which segment `s` layer `l` is assigned `p`, deepest level
-    /// first (the order partial sums combine up the tree).
-    fn levels_with(&self, s: usize, l: usize, p: Parallelism) -> Vec<usize> {
-        (0..self.num_levels)
-            .rev()
-            .filter(|&h| self.segs[s].plan.choice(h, l) == p)
             .collect()
     }
 
@@ -468,16 +460,9 @@ impl<'a> Builder<'a> {
     /// Levels whose transfer is free (dp→dp) add no tasks.
     fn edge_comm(&mut self, edge: SegmentEdge, forward: bool, deps: &[TaskId]) -> Vec<TaskId> {
         let last = self.segs[edge.from].len() - 1;
-        let label = if self.trace {
-            format!(
-                "xfer {} {}->{}",
-                if forward { "F" } else { "E" },
-                self.segs[edge.from].net.layer(last).name,
-                self.segs[edge.to].net.layer(0).name
-            )
-        } else {
-            String::new()
-        };
+        let tensor = if forward { "F" } else { "E" };
+        let producer = &self.segs[edge.from].net.layer(last).name;
+        let consumer = &self.segs[edge.to].net.layer(0).name;
         let mut producer_scale = LayerScale::IDENTITY;
         let mut consumer_scale = LayerScale::IDENTITY;
         let mut tasks = Vec::new();
@@ -489,7 +474,8 @@ impl<'a> Builder<'a> {
             let (f_elems, e_elems) = inter_split(prev, next, edge.elems, scale);
             let elems = if forward { f_elems } else { e_elems };
             if elems > 0.0 {
-                tasks.extend(self.comm_stage(h, elems, &label, deps));
+                let label = format_args!("xfer {tensor} {producer}->{consumer}");
+                tasks.extend(self.comm_stage(h, elems, label, deps));
             }
             producer_scale = producer_scale.descend(prev);
             consumer_scale = consumer_scale.descend(next);
@@ -513,10 +499,11 @@ impl<'a> Builder<'a> {
         fwd_exit: &[Vec<TaskId>],
         barrier_mode: bool,
     ) -> Vec<TaskId> {
-        let incoming: Vec<SegmentEdge> = self.edges.iter().copied().filter(|e| e.to == s).collect();
+        let edges = self.edges;
+        let incoming = || edges.iter().copied().filter(|e| e.to == s);
         let entry = if barrier_mode {
             let mut tasks = Vec::new();
-            for &edge in &incoming {
+            for edge in incoming() {
                 tasks.extend(self.edge_comm(edge, true, stage_end));
             }
             if tasks.is_empty() {
@@ -526,27 +513,34 @@ impl<'a> Builder<'a> {
             }
         } else {
             let mut deps = Vec::new();
-            for &edge in &incoming {
-                let producer_exit = fwd_exit[edge.from].clone();
-                let tasks = self.edge_comm(edge, true, &producer_exit);
+            for edge in incoming() {
+                let producer_exit = &fwd_exit[edge.from];
+                let tasks = self.edge_comm(edge, true, producer_exit);
                 if tasks.is_empty() {
-                    deps.extend(producer_exit);
+                    deps.extend_from_slice(producer_exit);
                 } else {
                     deps.extend(tasks);
                 }
             }
             deps
         };
-        let join_elems: f64 = incoming.iter().map(|e| e.join_elems).sum();
+        let join_elems: f64 = incoming().map(|e| e.join_elems).sum();
         // hypar-allow: det-float-eq — exact-zero skip: a join stage is only scheduled when traffic exists, and absent traffic is an exact 0.0 sum
         if !self.cfg.join_compute || join_elems == 0.0 {
             return entry;
         }
         // The accumulation cannot start before every branch tensor has
         // arrived, so the join is a synchronization point in both modes.
-        let head = self.segs[s].net.layer(0).name.clone();
-        let deps = vec![self.barrier(&entry)];
-        let tasks = self.compute_stage(0.0, join_elems, 0.0, None, &format!("join {head}"), &deps);
+        let head = &self.segs[s].net.layer(0).name;
+        let deps = [self.barrier(&entry)];
+        let tasks = self.compute_stage(
+            0.0,
+            join_elems,
+            0.0,
+            None,
+            format_args!("join {head}"),
+            &deps,
+        );
         vec![self.barrier(&tasks)]
     }
 
@@ -563,11 +557,11 @@ impl<'a> Builder<'a> {
         bwd_exit: &[Vec<TaskId>],
         barrier_mode: bool,
     ) -> Vec<TaskId> {
-        let outgoing: Vec<SegmentEdge> =
-            self.edges.iter().copied().filter(|e| e.from == s).collect();
-        if barrier_mode || outgoing.is_empty() {
+        let edges = self.edges;
+        let outgoing = || edges.iter().copied().filter(|e| e.from == s);
+        if barrier_mode || outgoing().next().is_none() {
             let mut tasks = Vec::new();
-            for &edge in &outgoing {
+            for edge in outgoing() {
                 tasks.extend(self.edge_comm(edge, false, bwd_frontier));
             }
             if tasks.is_empty() {
@@ -577,11 +571,11 @@ impl<'a> Builder<'a> {
             }
         } else {
             let mut contributions = Vec::new();
-            for &edge in &outgoing {
-                let consumer_exit = bwd_exit[edge.to].clone();
-                let tasks = self.edge_comm(edge, false, &consumer_exit);
+            for edge in outgoing() {
+                let consumer_exit = &bwd_exit[edge.to];
+                let tasks = self.edge_comm(edge, false, consumer_exit);
                 if tasks.is_empty() {
-                    contributions.extend(consumer_exit);
+                    contributions.extend_from_slice(consumer_exit);
                 } else {
                     contributions.extend(tasks);
                 }
@@ -594,39 +588,40 @@ impl<'a> Builder<'a> {
     /// The forward pass of segment `s`, entered at `stage_end`; returns
     /// the frontier past the segment's last layer.
     fn forward_segment(&mut self, s: usize, mut stage_end: Vec<TaskId>) -> Vec<TaskId> {
-        let num_layers = self.segs[s].len();
+        let (shapes, net) = (self.segs[s].shapes, self.segs[s].net);
+        let num_layers = net.len();
         let precision = f64::from(self.cfg.precision_bytes);
         for l in 0..num_layers {
-            let layer = self.segs[s].shapes.layer(l).clone();
+            let layer = shapes.layer(l);
             let leaf = self.segs[s].leaf(l);
-            let view = self.segs[s].net.layer(l).clone();
+            let view = net.layer(l);
 
             // Forward compute: read W and F_l slices, write F_{l+1} slice.
             let dram = (view.weight_elems * leaf.weight_scale()
                 + view.input_elems * leaf.input_scale()
                 + view.output_elems * leaf.output_scale())
                 * precision;
-            let deps = stage_end.clone();
             let mapping = self.layer_mapping(s, l);
             let mut tasks = self.compute_stage(
                 layer.macs_forward as f64,
                 layer.elementwise_ops as f64,
                 dram,
                 mapping,
-                &format!("fwd {}", layer.name),
-                &deps,
+                format_args!("fwd {}", layer.name),
+                &stage_end,
             );
 
             // mp output reductions, deepest level first (partial sums
             // combine pairwise up the tree, each level on its own links).
-            for h in self.levels_with(s, l, Parallelism::Model) {
-                let elems = intra_elems(
-                    Parallelism::Model,
-                    &view,
-                    self.segs[s].scales_at[h].layer(l),
-                );
-                let deps = vec![self.barrier(&tasks)];
-                tasks = self.comm_stage(h, elems, &format!("reduce F {}", layer.name), &deps);
+            for h in (0..self.num_levels).rev() {
+                if self.segs[s].plan.choice(h, l) != Parallelism::Model {
+                    continue;
+                }
+                let elems =
+                    intra_elems(Parallelism::Model, view, self.segs[s].scales_at[h].layer(l));
+                let deps = [self.barrier(&tasks)];
+                let label = format_args!("reduce F {}", layer.name);
+                tasks = self.comm_stage(h, elems, label, &deps);
             }
 
             // Forward junction redistribution to layer l+1.
@@ -640,9 +635,9 @@ impl<'a> Builder<'a> {
                         self.segs[s].scales_at[h].junction_scale_with(l, self.cfg.junction_scaling),
                     );
                     if f_elems > 0.0 {
-                        let deps = vec![self.barrier(&tasks)];
-                        let label = format!("xfer F {}", layer.name);
-                        junction_tasks.extend(self.comm_stage(h, f_elems, &label, &deps));
+                        let deps = [self.barrier(&tasks)];
+                        let label = format_args!("xfer F {}", layer.name);
+                        junction_tasks.extend(self.comm_stage(h, f_elems, label, &deps));
                     }
                 }
                 if !junction_tasks.is_empty() {
@@ -664,7 +659,8 @@ impl<'a> Builder<'a> {
         mut bwd_frontier: Vec<TaskId>,
         updates: &mut Vec<TaskId>,
     ) -> Vec<TaskId> {
-        let num_layers = self.segs[s].len();
+        let (shapes, net) = (self.segs[s].shapes, self.segs[s].net);
+        let num_layers = net.len();
         let precision = f64::from(self.cfg.precision_bytes);
         let barrier_mode = !self.cfg.overlap_comm;
         // A head fed by another segment must propagate the error across
@@ -673,9 +669,9 @@ impl<'a> Builder<'a> {
         let has_producer = self.edges.iter().any(|e| e.to == s);
 
         for l in (0..num_layers).rev() {
-            let layer = self.segs[s].shapes.layer(l).clone();
+            let layer = shapes.layer(l);
             let leaf = self.segs[s].leaf(l);
-            let view = self.segs[s].net.layer(l).clone();
+            let view = net.layer(l);
 
             // Backward junction: E_{l+1} redistribution from layer l+1.
             if l + 1 < num_layers {
@@ -688,9 +684,9 @@ impl<'a> Builder<'a> {
                         self.segs[s].scales_at[h].junction_scale_with(l, self.cfg.junction_scaling),
                     );
                     if e_elems > 0.0 {
-                        let deps = vec![self.barrier(&bwd_frontier)];
-                        let label = format!("xfer E {}", layer.name);
-                        junction_tasks.extend(self.comm_stage(h, e_elems, &label, &deps));
+                        let deps = [self.barrier(&bwd_frontier)];
+                        let label = format_args!("xfer E {}", layer.name);
+                        junction_tasks.extend(self.comm_stage(h, e_elems, label, &deps));
                     }
                 }
                 if !junction_tasks.is_empty() {
@@ -708,28 +704,26 @@ impl<'a> Builder<'a> {
                     + view.output_elems * leaf.output_scale()
                     + view.input_elems * leaf.input_scale())
                     * precision;
-                let deps = bwd_frontier.clone();
                 phase_tasks.extend(self.compute_stage(
                     layer.macs_backward() as f64,
                     0.0,
                     dram,
                     mapping,
-                    &format!("bwd {}", layer.name),
-                    &deps,
+                    format_args!("bwd {}", layer.name),
+                    &bwd_frontier,
                 ));
             }
             let dram = (view.input_elems * leaf.input_scale()
                 + view.output_elems * leaf.output_scale()
                 + view.weight_elems * leaf.weight_scale())
                 * precision;
-            let deps = bwd_frontier.clone();
             let grad_tasks = self.compute_stage(
                 layer.macs_gradient() as f64,
                 0.0,
                 dram,
                 mapping,
-                &format!("grad {}", layer.name),
-                &deps,
+                format_args!("grad {}", layer.name),
+                &bwd_frontier,
             );
             phase_tasks.extend(grad_tasks.iter().copied());
 
@@ -740,37 +734,39 @@ impl<'a> Builder<'a> {
             let phase_barrier = self.barrier(&phase_tasks);
 
             // dp gradient all-reduce, deepest level first.
-            let mut reduce_tail = vec![grad_barrier];
-            for h in self.levels_with(s, l, Parallelism::Data) {
+            let mut reduce_tail = grad_barrier;
+            for h in (0..self.num_levels).rev() {
+                if self.segs[s].plan.choice(h, l) != Parallelism::Data {
+                    continue;
+                }
                 let elems =
-                    intra_elems(Parallelism::Data, &view, self.segs[s].scales_at[h].layer(l));
-                let deps = reduce_tail.clone();
-                let label = format!("allreduce dW {}", layer.name);
-                let tasks = self.comm_stage(h, elems, &label, &deps);
-                reduce_tail = vec![self.barrier(&tasks)];
+                    intra_elems(Parallelism::Data, view, self.segs[s].scales_at[h].layer(l));
+                let label = format_args!("allreduce dW {}", layer.name);
+                let tasks = self.comm_stage(h, elems, label, &[reduce_tail]);
+                reduce_tail = self.barrier(&tasks);
             }
 
             // Weight update: read ΔW, write W (element-wise add).
             let w_slice = view.weight_elems * leaf.weight_scale();
-            let update_deps = if barrier_mode {
+            let update_dep = if barrier_mode {
                 // Serialize: update waits for this layer's comm and compute.
-                vec![self.barrier(&[reduce_tail[0], phase_barrier])]
+                self.barrier(&[reduce_tail, phase_barrier])
             } else {
-                reduce_tail.clone()
+                reduce_tail
             };
             let update_tasks = self.compute_stage(
                 0.0,
                 w_slice,
                 2.0 * w_slice * precision,
                 None,
-                &format!("update {}", layer.name),
-                &update_deps,
+                format_args!("update {}", layer.name),
+                &[update_dep],
             );
-            updates.extend(update_tasks.iter().copied());
+            updates.extend(update_tasks);
 
             // Next (shallower) layer's backward frontier.
             bwd_frontier = if barrier_mode {
-                vec![self.barrier(&[reduce_tail[0], phase_barrier])]
+                vec![self.barrier(&[reduce_tail, phase_barrier])]
             } else {
                 vec![phase_barrier]
             };
