@@ -9,15 +9,35 @@
 //!
 //! Every search space is validated up front: infeasible requests surface as
 //! typed [`ExhaustiveError`]s instead of panics, so the long-running plan
-//! service can expose the brute-force strategies to untrusted input.  The
-//! shared [`AssignmentSpace`] enumerator backs [`best_level`],
-//! [`best_joint`], and the DAG-side joint search in `hypar-graph`.
+//! service can expose the brute-force strategies to untrusted input.
+//!
+//! One enumerator, [`JointSpace::search`], backs [`best_level`],
+//! [`best_joint`] and the DAG-side joint search in `hypar-graph`:
+//!
+//! * **Depth first.**  Level `h` enumerates its `2^L` assignments under the
+//!   scales the levels above it committed.  Each level's per-layer terms
+//!   and the scales it hands to the level below are computed once per
+//!   prefix, in a fixed per-depth scratch, so no candidate allocates.  The
+//!   walk is an explicit odometer, not a recursion.
+//! * **Exact pruning.**  A prefix whose partial total is strictly greater
+//!   than the best complete total is skipped.  No completion of it can win
+//!   or tie: every level's term is `≥ 0`, and IEEE round-to-nearest
+//!   addition is monotone.
+//! * **Lowest bits win ties.**  Among equal-cost plans the one with the
+//!   lowest bit pattern wins, as when the space was scanned in ascending
+//!   order.  Depth-first order is not ascending order, so a candidate that
+//!   ties the best cost is compared by its bits.
+//! * **Zero levels.**  The total is a left fold from `-0.0`, the empty
+//!   `f64` sum, as [`crate::evaluate::PlanCost::total_elems`] is: a
+//!   zero-level chain search costs `-0.0`.
 
 use std::fmt;
+use std::ops::Range;
 
-use hypar_comm::{level_cost, NetworkCommTensors, Parallelism, ScaleState};
-
-use crate::evaluate::evaluate_plan;
+use hypar_comm::{
+    inter_elems, intra_elems, junction_scale_between, JunctionScaling, LayerCommTensors,
+    LayerScale, NetworkCommTensors, Parallelism, ScaleState,
+};
 
 /// Upper bound on the number of binary slots (`layers × levels`) a
 /// brute-force search may enumerate: `2^24` ≈ 16.8M candidate plans.
@@ -52,65 +72,6 @@ impl fmt::Display for ExhaustiveError {
 
 impl std::error::Error for ExhaustiveError {}
 
-/// Iterator over every bit pattern of a validated brute-force search
-/// space: `2^slots` patterns, bit `i` (LSB first) being slot `i`'s dp/mp
-/// choice in the paper's Figure 9/10 convention (`0` = dp, `1` = mp).
-///
-/// Construct through [`assignment_space`]; decode per-layer runs with
-/// [`assignment_from_bits`].
-///
-/// # Examples
-///
-/// ```
-/// use hypar_core::exhaustive::assignment_space;
-///
-/// let space = assignment_space(3)?;
-/// assert_eq!(space.len(), 8);
-/// assert_eq!(space.last(), Some(0b111));
-/// assert!(assignment_space(64).is_err());
-/// # Ok::<(), hypar_core::exhaustive::ExhaustiveError>(())
-/// ```
-#[derive(Clone, Debug)]
-pub struct AssignmentSpace {
-    next: u64,
-    end: u64,
-}
-
-impl Iterator for AssignmentSpace {
-    type Item = u64;
-
-    fn next(&mut self) -> Option<u64> {
-        (self.next < self.end).then(|| {
-            let bits = self.next;
-            self.next += 1;
-            bits
-        })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = (self.end - self.next) as usize;
-        (remaining, Some(remaining))
-    }
-}
-
-impl ExactSizeIterator for AssignmentSpace {}
-
-/// Validates a `2^slots` search space against [`SLOT_LIMIT`] and returns
-/// its pattern enumerator.
-///
-/// # Errors
-///
-/// Returns [`ExhaustiveError::TooLarge`] when `slots > SLOT_LIMIT`.
-pub fn assignment_space(slots: usize) -> Result<AssignmentSpace, ExhaustiveError> {
-    if slots > SLOT_LIMIT {
-        return Err(ExhaustiveError::TooLarge { slots });
-    }
-    Ok(AssignmentSpace {
-        next: 0,
-        end: 1u64 << slots,
-    })
-}
-
 /// Decodes a bit pattern into a per-layer assignment; bit `l` (LSB first)
 /// is layer `l`, `0` = dp, `1` = mp.
 ///
@@ -129,6 +90,266 @@ pub fn assignment_from_bits(bits: u64, len: usize) -> Vec<Parallelism> {
         .collect()
 }
 
+/// Decodes a joint bit pattern into `num_levels` per-layer assignments,
+/// top level first; bit `h·len + l` is layer `l` at level `h`.
+#[must_use]
+pub fn levels_from_bits(bits: u64, len: usize, num_levels: usize) -> Vec<Vec<Parallelism>> {
+    (0..num_levels)
+        .map(|h| assignment_from_bits(bits >> (h * len), len))
+        .collect()
+}
+
+/// A tensor the joint search prices at every level with Table 2's
+/// transitions: `elems` batched elements produced by layer `from` and
+/// consumed by layer `to`.
+#[derive(Copy, Clone, Debug, PartialEq)]
+struct Junction {
+    from: usize,
+    to: usize,
+    elems: f64,
+}
+
+/// The layers and junctions of a joint search, in bit order.
+///
+/// Level `h` costs `w·(intra + inter) + w·edges` with `w = 2^h`: `intra`
+/// folds the layers' Table 1 terms in order, `inter` the Table 2 terms of
+/// the junctions inside each chain, `edges` those of the junctions added
+/// with [`JointSpace::push_edge`].  A chain has no edges, so its level
+/// costs exactly `2^h ·` [`hypar_comm::LevelCost::total_elems`]: every
+/// term is `≥ 0`, and `x + w·0 = x` for `x ≥ 0`.
+///
+/// # Examples
+///
+/// ```
+/// use hypar_comm::{JunctionScaling, NetworkCommTensors, ScaleState};
+/// use hypar_core::evaluate::evaluate_plan;
+/// use hypar_core::exhaustive::{levels_from_bits, JointSpace};
+/// use hypar_models::zoo;
+///
+/// let net = NetworkCommTensors::from_network(&zoo::lenet_c(), 256)?;
+/// let mut space = JointSpace::new(JunctionScaling::Consumer);
+/// assert_eq!(space.push_chain(&net), 0..4);
+/// // 2^12 joint plans; bit `4·h + l` is layer `l` at level `h`.
+/// let (cost, bits) = space.search(&ScaleState::identity(4), 3).unwrap();
+/// let plan = levels_from_bits(bits, 4, 3);
+/// assert_eq!(cost, evaluate_plan(&net, &plan).total_elems());
+/// # Ok::<(), hypar_models::NetworkError>(())
+/// ```
+#[derive(Clone, Debug)]
+pub struct JointSpace<'a> {
+    layers: Vec<&'a LayerCommTensors>,
+    junctions: Vec<Junction>,
+    edges: Vec<Junction>,
+    mode: JunctionScaling,
+}
+
+impl<'a> JointSpace<'a> {
+    /// An empty space whose junctions scale under `mode`.
+    #[must_use]
+    pub fn new(mode: JunctionScaling) -> Self {
+        Self {
+            layers: Vec::new(),
+            junctions: Vec::new(),
+            edges: Vec::new(),
+            mode,
+        }
+    }
+
+    /// Appends a chain's layers, joined by its adjacent-layer junctions,
+    /// and returns the bit range they occupy.
+    pub fn push_chain(&mut self, net: &'a NetworkCommTensors) -> Range<usize> {
+        let start = self.layers.len();
+        self.layers.extend(net.layers());
+        let end = self.layers.len();
+        let junctions = (start + 1..end).map(|to| Junction {
+            from: to - 1,
+            to,
+            elems: self.layers[to - 1].junction_elems,
+        });
+        self.junctions.extend(junctions);
+        start..end
+    }
+
+    /// Adds a junction priced after the chains' own: `elems` batched
+    /// elements from layer `from` to layer `to`.
+    pub fn push_edge(&mut self, from: usize, to: usize, elems: f64) {
+        self.edges.push(Junction { from, to, elems });
+    }
+
+    /// Finds the cheapest joint plan over `num_levels` levels whose top
+    /// level sees the scales `top`.  Returns its total and its bits, bit
+    /// `h·L + l` being layer `l`'s choice at level `h` (`0` = dp,
+    /// `1` = mp); see the [module docs](self) for the order, the pruning
+    /// and the tie-break.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExhaustiveError::Empty`] for a space without layers and
+    /// [`ExhaustiveError::TooLarge`] when `L·H > `[`SLOT_LIMIT`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `top` does not cover every layer.
+    pub fn search(
+        &self,
+        top: &ScaleState,
+        num_levels: usize,
+    ) -> Result<(f64, u64), ExhaustiveError> {
+        let len = self.layers.len();
+        if len == 0 {
+            return Err(ExhaustiveError::Empty);
+        }
+        let slots = len.saturating_mul(num_levels);
+        if slots > SLOT_LIMIT {
+            return Err(ExhaustiveError::TooLarge { slots });
+        }
+        assert_eq!(top.len(), len, "scales must cover every weighted layer");
+        let Some(last) = num_levels.checked_sub(1) else {
+            return Ok((-0.0, 0));
+        };
+
+        let mut walk = Walk::new(self, top, num_levels);
+        let end = 1u64 << len;
+        let mut best = (f64::INFINITY, 0u64);
+        let mut depth = 0;
+        loop {
+            if depth == last {
+                walk.scan_last(depth, &mut best);
+            } else if walk.next[depth] < end {
+                let assignment = walk.next[depth];
+                walk.next[depth] += 1;
+                let partial = walk.partial[depth] + walk.level_cost(depth, assignment);
+                if partial <= best.0 {
+                    walk.descend(depth, assignment, partial);
+                    depth += 1;
+                }
+                continue;
+            }
+            // Every assignment at this depth is done: back up one level.
+            match depth.checked_sub(1) {
+                Some(up) => depth = up,
+                None => return Ok(best),
+            }
+        }
+    }
+}
+
+/// The depth-first walk's per-depth scratch, allocated once per search.
+/// Depth `d` holds the state shared by every candidate with the same
+/// assignments at levels `0..d`.
+struct Walk<'s, 'a> {
+    space: &'s JointSpace<'a>,
+    len: usize,
+    /// The scales every layer sees at depth `d`: `len` per depth.
+    scales: Vec<LayerScale>,
+    /// Each layer's Table 1 term at depth `d`, indexed by its bit.
+    intra: Vec<[f64; 2]>,
+    /// Each junction's Table 2 term at depth `d` (chain junctions, then
+    /// edges), indexed by `from_bit << 1 | to_bit`.
+    inter: Vec<[f64; 4]>,
+    /// The total of levels `0..d`: a left fold from `-0.0`.
+    partial: Vec<f64>,
+    /// The bits of levels `0..d`.
+    prefix: Vec<u64>,
+    /// The next assignment to try at depth `d`.
+    next: Vec<u64>,
+}
+
+impl<'s, 'a> Walk<'s, 'a> {
+    /// The scratch for `num_levels` levels, depth 0 priced at `top`.
+    fn new(space: &'s JointSpace<'a>, top: &ScaleState, num_levels: usize) -> Self {
+        let len = space.layers.len();
+        let junctions = space.junctions.len() + space.edges.len();
+        let mut scales = vec![LayerScale::IDENTITY; num_levels * len];
+        scales[..len].copy_from_slice(top.layers());
+        let mut walk = Self {
+            space,
+            len,
+            scales,
+            intra: vec![[0.0; 2]; num_levels * len],
+            inter: vec![[0.0; 4]; num_levels * junctions],
+            partial: vec![-0.0; num_levels],
+            prefix: vec![0; num_levels],
+            next: vec![0; num_levels],
+        };
+        walk.price(0);
+        walk
+    }
+
+    /// Prices every layer and junction at depth `d` from its scales.
+    fn price(&mut self, d: usize) {
+        use Parallelism::{Data, Model};
+        let space = self.space;
+        let scales = &self.scales[d * self.len..][..self.len];
+        let intra = &mut self.intra[d * self.len..][..self.len];
+        for ((terms, layer), &scale) in intra.iter_mut().zip(&space.layers).zip(scales) {
+            *terms = [
+                intra_elems(Data, layer, scale),
+                intra_elems(Model, layer, scale),
+            ];
+        }
+        let all = space.junctions.iter().chain(&space.edges);
+        let stride = space.junctions.len() + space.edges.len();
+        for (terms, j) in self.inter[d * stride..].iter_mut().zip(all) {
+            let scale = junction_scale_between(scales[j.from], scales[j.to], space.mode);
+            *terms = [(Data, Data), (Data, Model), (Model, Data), (Model, Model)]
+                .map(|(prev, next)| inter_elems(prev, next, j.elems, scale));
+        }
+    }
+
+    /// Level `d`'s weighted cost under `assignment`, in the accumulation
+    /// order of the DAG model: `w·(intra + inter) + w·edges`.
+    fn level_cost(&self, d: usize, assignment: u64) -> f64 {
+        let space = self.space;
+        let bit = |l: usize| usize::from(assignment >> l & 1 == 1);
+        let mut intra = 0.0;
+        for (l, terms) in self.intra[d * self.len..][..self.len].iter().enumerate() {
+            intra += terms[bit(l)];
+        }
+        let stride = space.junctions.len() + space.edges.len();
+        let (chain, edges) = self.inter[d * stride..][..stride].split_at(space.junctions.len());
+        let mut inter = 0.0;
+        for (terms, j) in chain.iter().zip(&space.junctions) {
+            inter += terms[bit(j.from) << 1 | bit(j.to)];
+        }
+        let mut edge = 0.0;
+        for (terms, j) in edges.iter().zip(&space.edges) {
+            edge += terms[bit(j.from) << 1 | bit(j.to)];
+        }
+        let weight = (1u64 << d) as f64;
+        weight * (intra + inter) + weight * edge
+    }
+
+    /// Commits `assignment` at depth `d` (whose total through `d` is
+    /// `partial`) and prepares depth `d + 1`.
+    fn descend(&mut self, d: usize, assignment: u64, partial: f64) {
+        let (above, below) = self.scales.split_at_mut((d + 1) * self.len);
+        let scales = above[d * self.len..].iter().zip(&mut below[..self.len]);
+        for (l, (scale, next)) in scales.enumerate() {
+            *next = scale.descend(Parallelism::from_bit(assignment >> l & 1 == 1));
+        }
+        self.partial[d + 1] = partial;
+        self.prefix[d + 1] = self.prefix[d] | assignment << (d * self.len);
+        self.next[d + 1] = 0;
+        self.price(d + 1);
+    }
+
+    /// Scans every assignment of the last level `d`, keeping the cheapest
+    /// plan in `best` and, among equal costs, the lowest bits.
+    fn scan_last(&self, d: usize, best: &mut (f64, u64)) {
+        let partial = self.partial[d];
+        for assignment in 0..1u64 << self.len {
+            let total = partial + self.level_cost(d, assignment);
+            if total <= best.0 {
+                let bits = self.prefix[d] | assignment << (d * self.len);
+                if total < best.0 || bits < best.1 {
+                    *best = (total, bits);
+                }
+            }
+        }
+    }
+}
+
 /// Exhaustively finds the minimum-communication assignment for **one**
 /// level (`O(2^L)`), for validating [`crate::two_group::partition`].
 ///
@@ -137,30 +358,24 @@ pub fn assignment_from_bits(bits: u64, len: usize) -> Vec<Parallelism> {
 /// Returns [`ExhaustiveError::Empty`] for a network without weighted
 /// layers and [`ExhaustiveError::TooLarge`] beyond [`SLOT_LIMIT`] layers
 /// (the enumeration would be infeasible — use the dynamic program).
+///
+/// # Panics
+///
+/// Panics if `scales` does not cover every weighted layer.
 pub fn best_level(
     net: &NetworkCommTensors,
     scales: &ScaleState,
 ) -> Result<(f64, Vec<Parallelism>), ExhaustiveError> {
-    let len = net.len();
-    if len == 0 {
-        return Err(ExhaustiveError::Empty);
-    }
-    let mut best_cost = f64::INFINITY;
-    let mut best_bits = 0u64;
-    for bits in assignment_space(len)? {
-        let assignment = assignment_from_bits(bits, len);
-        let cost = level_cost(net, scales, &assignment).total_elems();
-        if cost < best_cost {
-            best_cost = cost;
-            best_bits = bits;
-        }
-    }
-    Ok((best_cost, assignment_from_bits(best_bits, len)))
+    let mut space = JointSpace::new(JunctionScaling::Consumer);
+    space.push_chain(net);
+    let (cost, bits) = space.search(scales, 1)?;
+    Ok((cost, assignment_from_bits(bits, net.len())))
 }
 
 /// Exhaustively finds the minimum-communication **joint** plan over all
 /// `num_levels` levels at once (`O(2^{L·H})`), for quantifying the greedy
-/// gap of Algorithm 2.
+/// gap of Algorithm 2.  The cost is bit-identical to
+/// [`crate::evaluate::evaluate_plan`]'s total of the returned plan.
 ///
 /// # Errors
 ///
@@ -171,26 +386,10 @@ pub fn best_joint(
     net: &NetworkCommTensors,
     num_levels: usize,
 ) -> Result<(f64, Vec<Vec<Parallelism>>), ExhaustiveError> {
-    let len = net.len();
-    if len == 0 {
-        return Err(ExhaustiveError::Empty);
-    }
-    let mut best_cost = f64::INFINITY;
-    let mut best_bits = 0u64;
-    for bits in assignment_space(len * num_levels)? {
-        let levels: Vec<Vec<Parallelism>> = (0..num_levels)
-            .map(|h| assignment_from_bits(bits >> (h * len), len))
-            .collect();
-        let cost = evaluate_plan(net, &levels).total_elems();
-        if cost < best_cost {
-            best_cost = cost;
-            best_bits = bits;
-        }
-    }
-    let levels = (0..num_levels)
-        .map(|h| assignment_from_bits(best_bits >> (h * len), len))
-        .collect();
-    Ok((best_cost, levels))
+    let mut space = JointSpace::new(JunctionScaling::Consumer);
+    space.push_chain(net);
+    let (cost, bits) = space.search(&ScaleState::identity(net.len()), num_levels)?;
+    Ok((cost, levels_from_bits(bits, net.len(), num_levels)))
 }
 
 #[cfg(test)]
@@ -259,16 +458,6 @@ mod tests {
                 .fold(0u64, |acc, (l, p)| acc | (u64::from(p.bit()) << l));
             assert_eq!(back, bits);
         }
-    }
-
-    #[test]
-    fn assignment_space_enumerates_every_pattern_once() {
-        let space = assignment_space(4).unwrap();
-        assert_eq!(space.len(), 16);
-        let patterns: Vec<u64> = space.collect();
-        assert_eq!(patterns, (0..16).collect::<Vec<u64>>());
-        // The empty space has exactly one (empty) assignment.
-        assert_eq!(assignment_space(0).unwrap().collect::<Vec<_>>(), vec![0]);
     }
 
     #[test]

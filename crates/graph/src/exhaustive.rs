@@ -10,14 +10,20 @@
 //! planner's *greedy gap* can be quantified on small branchy networks the
 //! way Figures 9/10 quantify it for chains.
 //!
-//! The enumeration shares [`hypar_core::exhaustive`]'s validated
-//! [`AssignmentSpace`] and feasibility bound; for a branch-free DAG (one
-//! segment, no edges) the search — iteration order, cost arithmetic, and
-//! tie-breaking — is bit-identical to [`hypar_core::exhaustive::best_joint`]
-//! on the linearized chain (property-tested).
+//! The search runs on [`hypar_core::exhaustive`]'s one enumerator,
+//! [`JointSpace`]: each segment is pushed as a chain and each
+//! inter-segment junction as an edge, so the order (depth first, level by
+//! level), the exact pruning (a prefix strictly above the best complete
+//! total is skipped) and the tie-break (the lowest bit pattern wins) are
+//! the chain search's.  A level costs `w·(intra + inter) + w·edges`, and
+//! the total is a left fold from `+0.0`: a zero-level plan costs `+0.0`,
+//! where [`hypar_core::exhaustive::best_joint`]'s costs `-0.0`.  For a
+//! branch-free DAG (one segment, no edges) at one level or more, plan and
+//! cost are bit-identical to the chain search's on the linearized chain
+//! (property-tested).
 
-use hypar_comm::{inter_elems, JunctionScaling, Parallelism};
-use hypar_core::exhaustive::{assignment_from_bits, assignment_space, ExhaustiveError};
+use hypar_comm::{JunctionScaling, ScaleState};
+use hypar_core::exhaustive::{levels_from_bits, ExhaustiveError, JointSpace};
 use hypar_core::HierarchicalPlan;
 
 use crate::segments::SegmentCommGraph;
@@ -72,105 +78,32 @@ pub fn best_joint_graph_with(
     num_levels: usize,
     mode: JunctionScaling,
 ) -> Result<HierarchicalPlan, ExhaustiveError> {
-    let num_layers = graph.num_layers();
-    if num_layers == 0 {
-        return Err(ExhaustiveError::Empty);
-    }
-    let space = assignment_space(num_layers * num_levels)?;
-
-    // Flattened views so the inner loop is allocation-free: per-layer
-    // tensors in canonical segment order, segment ranges, and edges
-    // resolved to global boundary-layer indices.
-    let layers: Vec<&hypar_comm::LayerCommTensors> =
-        graph.segments().iter().flat_map(|s| s.layers()).collect();
-    let mut ranges = Vec::with_capacity(graph.num_segments());
-    let mut offset = 0;
-    for segment in graph.segments() {
-        ranges.push((offset, offset + segment.len()));
-        offset += segment.len();
-    }
-    let edges: Vec<(usize, usize, f64)> = graph
-        .edges()
+    let mut space = JointSpace::new(mode);
+    let ranges: Vec<_> = graph
+        .segments()
         .iter()
-        .map(|e| (ranges[e.from].1 - 1, ranges[e.to].0, e.elems))
+        .map(|segment| space.push_chain(segment))
         .collect();
-
-    let choice = |bits: u64, h: usize, l: usize| -> Parallelism {
-        Parallelism::from_bit(bits >> (h * num_layers + l) & 1 == 1)
-    };
-    // Accumulated tensor fractions per layer (reset per candidate): exact
-    // powers of two, so the arithmetic matches `ScaleState` bit for bit.
-    let mut bat = vec![1.0f64; num_layers];
-    let mut fin = vec![1.0f64; num_layers];
-    let junction_scale = |bat: &[f64], fin: &[f64], from: usize, to: usize| match mode {
-        JunctionScaling::Consumer => bat[to] * fin[to],
-        JunctionScaling::Producer => bat[from],
-        JunctionScaling::Unscaled => 1.0,
-    };
-
-    let mut best_cost = f64::INFINITY;
-    let mut best_bits = 0u64;
-    for bits in space {
-        bat.fill(1.0);
-        fin.fill(1.0);
-        let mut total = 0.0;
-        for h in 0..num_levels {
-            let weight = (1u64 << h) as f64;
-            // Intra-layer and intra-segment junction terms, in the exact
-            // accumulation order of `evaluate_plan` (intra sum then inter
-            // sum per level) so single-segment costs are bit-identical to
-            // the chain search's.
-            let mut intra_sum = 0.0;
-            let mut inter_sum = 0.0;
-            for &(start, end) in &ranges {
-                for l in start..end {
-                    intra_sum += match choice(bits, h, l) {
-                        Parallelism::Data => 2.0 * layers[l].weight_elems * fin[l],
-                        Parallelism::Model => 2.0 * layers[l].output_elems * bat[l],
-                    };
-                }
-                // Junctions between adjacent in-segment layers index the
-                // scale scratch at both endpoints, so a range loop is the
-                // clearest form here.
-                #[allow(clippy::needless_range_loop)]
-                for l in start..end.saturating_sub(1) {
-                    let scale = junction_scale(&bat, &fin, l, l + 1);
-                    inter_sum += inter_elems(
-                        choice(bits, h, l),
-                        choice(bits, h, l + 1),
-                        layers[l].junction_elems,
-                        scale,
-                    );
-                }
-            }
-            let mut edge_sum = 0.0;
-            for &(from, to, elems) in &edges {
-                let scale = junction_scale(&bat, &fin, from, to);
-                edge_sum += inter_elems(choice(bits, h, from), choice(bits, h, to), elems, scale);
-            }
-            total += weight * (intra_sum + inter_sum) + weight * edge_sum;
-            for l in 0..num_layers {
-                match choice(bits, h, l) {
-                    Parallelism::Data => bat[l] *= 0.5,
-                    Parallelism::Model => fin[l] *= 0.5,
-                }
-            }
-        }
-        if total < best_cost {
-            best_cost = total;
-            best_bits = bits;
-        }
+    // An edge leaves its producing segment's last layer and enters its
+    // consuming segment's first.
+    for edge in graph.edges() {
+        space.push_edge(ranges[edge.from].end - 1, ranges[edge.to].start, edge.elems);
     }
-
-    let levels: Vec<Vec<Parallelism>> = (0..num_levels)
-        .map(|h| assignment_from_bits(best_bits >> (h * num_layers), num_layers))
+    let num_layers = graph.num_layers();
+    let (cost, bits) = space.search(&ScaleState::identity(num_layers), num_levels)?;
+    let names = graph
+        .segments()
+        .iter()
+        .flat_map(|segment| segment.layers())
+        .map(|layer| layer.name.clone())
         .collect();
-    let names = layers.iter().map(|l| l.name.clone()).collect();
     Ok(HierarchicalPlan::from_parts(
         graph.name(),
         names,
-        levels,
-        best_cost,
+        levels_from_bits(bits, num_layers, num_levels),
+        // The DAG total folds from `+0.0`; adding it changes only the
+        // `-0.0` of a zero-level plan.
+        0.0 + cost,
     ))
 }
 

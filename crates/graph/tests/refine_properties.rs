@@ -16,6 +16,7 @@
 //!   plan's own bits under the shared whole-graph model.
 
 use hypar_comm::JunctionScaling;
+use hypar_core::exhaustive::SLOT_LIMIT;
 use hypar_graph::{
     best_joint_graph_with, partition_graph_refined_with, partition_graph_with, zoo, GraphBuilder,
     SegmentCommGraph, INPUT,
@@ -130,21 +131,21 @@ proptest! {
 }
 
 /// Every branchy-zoo graph at every hierarchy depth whose joint space is
-/// debug-enumerable (`L·H ≤ 21`: ResNet-18's 21 layers at `H = 1`,
-/// Inception-Mini's 8 layers at `H ≤ 2`): the refined plan's cost is the
-/// certified joint optimum's, across the junction-scaling modes, and
-/// both plans' bits evaluate to that same cost under the shared
-/// whole-graph model.  The 24-slot boundary itself (16.8M candidates per
-/// mode — too slow for the debug test suite) is certified in release by
-/// the `greedy_gap_branchy` experiment and tracked by the
-/// `best_joint_graph/24slots` criterion bench.
+/// within [`SLOT_LIMIT`] (ResNet-18's 21 layers at `H = 1`,
+/// Inception-Mini's 8 layers at `H ≤ 3`, the 24-slot boundary itself):
+/// the refined plan's cost is the certified joint optimum's, across the
+/// junction-scaling modes, and both plans' bits evaluate to that same
+/// cost under the shared whole-graph model.  The depth-first search
+/// prunes most of Inception-Mini's 16.8M candidates per mode, so the
+/// boundary costs milliseconds even in a debug build; ResNet-18's single
+/// level shares no prefix and is the slow case here.
 #[test]
 fn refined_matches_the_joint_optimum_cost_on_the_zoo_within_the_bound() {
     let mut certified = 0;
     for name in zoo::NAMES {
         let graph = zoo::by_name(name).unwrap().segments(64).unwrap();
         for levels in 1usize..=4 {
-            if graph.num_layers() * levels > 21 {
+            if graph.num_layers() * levels > SLOT_LIMIT {
                 continue;
             }
             for mode in MODES {
@@ -173,5 +174,5 @@ fn refined_matches_the_joint_optimum_cost_on_the_zoo_within_the_bound() {
             }
         }
     }
-    assert!(certified >= 9, "expected coverage, certified {certified}");
+    assert!(certified >= 12, "expected coverage, certified {certified}");
 }
